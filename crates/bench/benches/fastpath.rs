@@ -10,8 +10,9 @@
 //! the raw `SplitPlan::scan` loop, the full classify path, and a
 //! `scan10k/benign` mix where every representation carries a generated
 //! 10k-rule corpus — prints the table, and, when `SD_FASTPATH_ENFORCE=1`
-//! (the CI smoke step), fails unless the prefiltered engine is no slower
-//! than dense on the benign mix, the sparse tables stay within 10% of
+//! (the CI smoke step), fails unless the default (prefiltered) engine is
+//! no slower than dense on the benign mix and on `scan/demo` (the benign
+//! bytes against the embedded demo rules), the sparse tables stay within 10% of
 //! dense memory at 10k rules, and the tiered build beats sparse by
 //! ≥ 1.5x on `scan10k/benign` while spending at most 2x the sparse
 //! automaton bytes.
@@ -99,17 +100,22 @@ fn main() {
     report.print();
 
     if std::env::var("SD_FASTPATH_ENFORCE").as_deref() == Ok("1") {
-        let dense = report.secs("scan/benign", MatcherKind::Dense);
-        let pre = report.secs("scan/benign", MatcherKind::ClassedPrefilter);
-        assert!(
-            pre <= dense,
-            "prefiltered scan slower than dense on the benign mix: \
-             {pre:.6}s vs {dense:.6}s"
-        );
-        println!(
-            "prefiltered no slower than dense on benign mix ({:.2}x faster)",
-            dense / pre
-        );
+        // The default matcher must never lose to dense: on the
+        // single-signature benign mix (skip front end) and on the demo
+        // rules (lanes front end).
+        for mix in ["scan/benign", "scan/demo"] {
+            let dense = report.secs(mix, MatcherKind::Dense);
+            let default = report.secs(mix, MatcherKind::default());
+            assert!(
+                default <= dense,
+                "default matcher slower than dense on {mix}: \
+                 {default:.6}s vs {dense:.6}s"
+            );
+            println!(
+                "default matcher no slower than dense on {mix} ({:.2}x faster)",
+                dense / default
+            );
+        }
 
         // The memory claim the sparse representations exist for: at 10k
         // rules they must cost at most 10% of the dense table.

@@ -12,7 +12,11 @@
 //!   segment, so every scan ends in a DFA hit (all engines early-exit at
 //!   the same byte),
 //! * **adversarial** — benign bytes salted with ~25 % escape bytes, the
-//!   attacker's best attempt at defeating the skip loop.
+//!   attacker's best attempt at defeating the skip loop,
+//! * **demo** (`scan/demo`) — the benign bytes against the embedded demo
+//!   rules' pieces instead of the single signature's: 13 escape bytes,
+//!   common in text, so the prefiltered and tiered builds scan with the
+//!   two-lane front end rather than the skip.
 //!
 //! Measurement is paired: engines alternate inside each round so
 //! thermal/scheduler drift cancels, and medians are compared.
@@ -83,6 +87,19 @@ pub fn plan_for(kind: MatcherKind) -> SplitPlan {
         ..Default::default()
     };
     SplitPlan::compile(&sigs(), &config).expect("admissible")
+}
+
+/// Compile the embedded demo rules' plan for one matcher kind (the
+/// `scan/demo` row).
+pub fn demo_plan_for(kind: MatcherKind) -> SplitPlan {
+    let sigs = sd_ips::rules::parse_rules(sd_ips::rules::DEMO_RULES)
+        .expect("demo rules parse")
+        .to_signatures();
+    let config = SplitDetectConfig {
+        fastpath_matcher: kind,
+        ..Default::default()
+    };
+    SplitPlan::compile(&sigs, &config).expect("admissible")
 }
 
 /// Build a full fast path (plan + flow table) for one matcher kind.
@@ -307,27 +324,33 @@ pub fn run(params: &Params) -> Report {
     ];
     let trace = benign_trace(200, 17);
     let trace_bytes = trace.total_bytes();
-    let plans: Vec<(MatcherKind, SplitPlan)> =
-        MatcherKind::ALL.iter().map(|&k| (k, plan_for(k))).collect();
+    let plans: Vec<(MatcherKind, SplitPlan, SplitPlan)> = MatcherKind::ALL
+        .iter()
+        .map(|&k| (k, plan_for(k), demo_plan_for(k)))
+        .collect();
+    let benign = &scan_mixes[0].1;
 
     // Warm every path once before measuring.
-    for (kind, plan) in &plans {
+    for (kind, plan, demo) in &plans {
         for (_, corpus) in &scan_mixes {
             scan_once(plan, corpus);
         }
+        scan_once(demo, benign);
         classify_once(*kind, &trace);
     }
 
     // Paired measurement: alternate engines inside each round so
-    // thermal/scheduler drift cancels, compare medians.
+    // thermal/scheduler drift cancels, compare medians. Per plan: the
+    // three scan mixes, classify, then scan/demo.
     let rounds = params.rounds;
-    let mut samples: Vec<Vec<Duration>> = vec![Vec::with_capacity(rounds); plans.len() * 4];
+    let mut samples: Vec<Vec<Duration>> = vec![Vec::with_capacity(rounds); plans.len() * 5];
     for _ in 0..rounds {
-        for (pi, (kind, plan)) in plans.iter().enumerate() {
+        for (pi, (kind, plan, demo)) in plans.iter().enumerate() {
             for (mi, (_, corpus)) in scan_mixes.iter().enumerate() {
-                samples[pi * 4 + mi].push(scan_once(plan, corpus));
+                samples[pi * 5 + mi].push(scan_once(plan, corpus));
             }
-            samples[pi * 4 + 3].push(classify_once(*kind, &trace));
+            samples[pi * 5 + 3].push(classify_once(*kind, &trace));
+            samples[pi * 5 + 4].push(scan_once(demo, benign));
         }
     }
 
@@ -351,33 +374,38 @@ pub fn run(params: &Params) -> Report {
             )
         })
         .collect();
-    let benign10k = &scan_mixes[0].1;
     for (_, plan) in &plans10k {
-        scan_once(plan, benign10k);
+        scan_once(plan, benign);
     }
     let mut samples10k: Vec<Vec<Duration>> =
         vec![Vec::with_capacity(params.rounds_10k); plans10k.len()];
     for _ in 0..params.rounds_10k {
         for (pi, (_, plan)) in plans10k.iter().enumerate() {
-            samples10k[pi].push(scan_once(plan, benign10k));
+            samples10k[pi].push(scan_once(plan, benign));
         }
     }
 
     let mut rows = Vec::new();
-    for (pi, (kind, _)) in plans.iter().enumerate() {
+    for (pi, (kind, _, _)) in plans.iter().enumerate() {
         for (mi, (mix, _)) in scan_mixes.iter().enumerate() {
             rows.push(MixRow {
                 mix: mix.to_string(),
                 kind: *kind,
-                median: median(samples[pi * 4 + mi].clone()),
+                median: median(samples[pi * 5 + mi].clone()),
                 bytes: VOLUME as u64,
             });
         }
         rows.push(MixRow {
             mix: "classify/benign".to_string(),
             kind: *kind,
-            median: median(samples[pi * 4 + 3].clone()),
+            median: median(samples[pi * 5 + 3].clone()),
             bytes: trace_bytes,
+        });
+        rows.push(MixRow {
+            mix: "scan/demo".to_string(),
+            kind: *kind,
+            median: median(samples[pi * 5 + 4].clone()),
+            bytes: VOLUME as u64,
         });
     }
     for (pi, (kind, _)) in plans10k.iter().enumerate() {
@@ -392,7 +420,7 @@ pub fn run(params: &Params) -> Report {
 
     let automaton = plans
         .iter()
-        .map(|(kind, plan)| AutomatonRow {
+        .map(|(kind, plan, _)| AutomatonRow {
             kind: *kind,
             bytes: plan.memory_bytes(),
             classes: plan.class_count().unwrap_or(256),

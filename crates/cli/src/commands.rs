@@ -808,6 +808,17 @@ fn analyze_rules_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), Stri
         (raw_pieces - plan.piece_count()) as f64 * 100.0 / raw_pieces.max(1) as f64
     );
 
+    // The scan front end the default matcher compiled to: the start-state
+    // skip only pays while the root escape set is tiny.
+    if let (Some(front), Some(escapes)) = (plan.scan_front_end(), plan.escape_byte_count()) {
+        let _ = writeln!(
+            out,
+            "scan front end ({}): {front} ({escapes} root escape byte(s); \
+             skip at 3 or fewer, walk at all 256, lanes between)",
+            plan.matcher_kind()
+        );
+    }
+
     // Per-rule fast-path hits on seeded benign HTTP-like payload: which
     // rules would divert benign flows, and how often.
     let mut rng = StdRng::seed_from_u64(args.seed ^ 0xA11A);

@@ -328,6 +328,10 @@ fn generate_rules_then_analyze_reports_every_representation() {
     assert!(out.contains("trie depth occupancy"), "{out}");
     assert!(out.contains("tiered split (budget heuristic)"), "{out}");
     assert!(out.contains("piece dedup:"), "{out}");
+    assert!(
+        out.contains("scan front end (classed+prefilter): lanes"),
+        "{out}"
+    );
     assert!(out.contains("fast-path hits"), "{out}");
     assert!(!out.contains("parse error"), "{out}");
 

@@ -105,7 +105,13 @@ pub const MIN_PIECE_LEN: usize = 4;
 /// footprint and benign-traffic throughput. The dense and classed tables
 /// are the throughput champions on small rule sets; the sparse variants
 /// keep memory `O(pattern bytes)` so 10k-rule corpora stay cache-resident.
-/// The default is the fastest on the demo-scale corpus.
+/// The default, `classed+prefilter`, picks its scan front end from the
+/// corpus at compile time: the start-state skip when the root escape set
+/// has at most 3 bytes (a single signature), the plain sequential walk
+/// when all 256 byte values escape (large corpora, whose pieces benign
+/// text hits early), two interleaved DFA lanes in between (the demo
+/// rules' 13 escape bytes stop the skip every few bytes of text);
+/// `SplitPlan::scan_front_end` reports the choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MatcherKind {
     /// Dense 256-entry-row Aho–Corasick DFA: the paper's baseline engine,
@@ -114,8 +120,11 @@ pub enum MatcherKind {
     /// Byte-class compressed DFA: same lookup count, rows shrunk to the
     /// rule set's byte equivalence classes (~4–10× smaller tables).
     Classed,
-    /// Classed DFA behind a SWAR start-state skip prefilter: benign bytes
-    /// are dismissed 8 per step, the DFA runs only at candidate positions.
+    /// Classed DFA behind a scan front end chosen from the escape set:
+    /// a SWAR start-state skip (benign bytes dismissed 8 per step, the DFA
+    /// run only at candidate positions) for ≤ 3 escape bytes, a
+    /// sequential walk when every byte escapes, a two-lane interleaved
+    /// walk in between.
     #[default]
     ClassedPrefilter,
     /// CSR sparse hybrid NFA-DFA: per-state edge lists + failure links,
@@ -130,7 +139,8 @@ pub enum MatcherKind {
     /// Two-tier hybrid: dense byte-classed rows for the hot shallow states
     /// (chosen by a depth/byte-budget heuristic, overridable with
     /// `tiered_hot_states`), CSR edges + failure links for the cold tail,
-    /// SWAR start-state skip on the root. Near-classed throughput at
+    /// the same escape-set front-end rule as `ClassedPrefilter` (lanes
+    /// walk the hot tier only). Near-classed throughput at
     /// near-sparse memory — the 10k-rule representation of choice.
     Tiered,
 }

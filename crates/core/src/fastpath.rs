@@ -404,12 +404,16 @@ impl FastPath {
                 // The flow lookup comes first (a hardware pipeline fetches
                 // per-flow state before the payload arrives); it also makes
                 // `flows_seen` accounting include flows whose very first
-                // packet diverts.
+                // packet diverts. It is the packet's only probe: the entry
+                // is held through every rule below (the borrow covers only
+                // `self.table`, and `self.divert` runs only on paths that
+                // return), so a TCP packet costs one lookup, plus a removal
+                // when the connection closes.
                 let d = match dir {
                     Direction::Forward => 0usize,
                     Direction::Backward => 1usize,
                 };
-                self.table.get_or_insert_with(&flow_key, FlowState::default);
+                let (state, _) = self.table.get_or_insert_with(&flow_key, FlowState::default);
 
                 // Rule 0: the URG flag. Its delivery semantics differ
                 // across stacks (see sd-reassembly::urgent), so the fast
@@ -427,8 +431,6 @@ impl FastPath {
                     let v = self.divert(DivertReason::PieceMatch);
                     return done(Some(key), v);
                 }
-
-                let (state, _) = self.table.get_or_insert_with(&flow_key, FlowState::default);
 
                 // Rule 2: sequence monotonicity (data/FIN segments only —
                 // pure ACKs carry no stream bytes and repeat seq numbers
@@ -472,7 +474,6 @@ impl FastPath {
                     return done(Some(key), Verdict::Benign);
                 }
                 if info.repr.flags.fin() {
-                    let (state, _) = self.table.get_or_insert_with(&flow_key, FlowState::default);
                     state.set_fin(d);
                     if state.both_fins() {
                         self.table.remove(&flow_key);
@@ -487,8 +488,6 @@ impl FastPath {
                     let count = match &mut self.small_bloom {
                         Some(bloom) => bloom.increment(&flow_key),
                         None => {
-                            let (state, _) =
-                                self.table.get_or_insert_with(&flow_key, FlowState::default);
                             state.small_count[d] = state.small_count[d].saturating_add(1);
                             state.small_count[d]
                         }

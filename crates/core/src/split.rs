@@ -301,6 +301,17 @@ impl SplitPlan {
         }
     }
 
+    /// The scan front end the escape set selected (`"skip"`, `"lanes"` or
+    /// `"walk"`; `None` for engines without a start-state front end). See
+    /// [`sd_match::FrontEnd`].
+    pub fn scan_front_end(&self) -> Option<&'static str> {
+        match &self.automaton {
+            PieceAutomaton::Prefiltered(d) => Some(d.front_end().name()),
+            PieceAutomaton::Tiered(d) => Some(d.front_end().name()),
+            _ => None,
+        }
+    }
+
     /// Provenance of a matched piece pattern.
     pub fn origins(&self, id: PatternId) -> &[PieceOrigin] {
         &self.origins[id as usize]
@@ -481,8 +492,11 @@ mod tests {
         assert!(classed.dense_dfa().is_none());
         assert!(classed.class_count().unwrap() <= 49, "48 letters + rest");
         assert_eq!(classed.escape_byte_count(), None);
-        // Piece first bytes: A, I, Q, a, i, q → 6 escape bytes.
+        // Piece first bytes: A, I, Q, a, i, q → 6 escape bytes, too many
+        // for the skip's rare path, so the scan walks in lanes.
         assert_eq!(pre.escape_byte_count(), Some(6));
+        assert_eq!(pre.scan_front_end(), Some("lanes"));
+        assert_eq!(classed.scan_front_end(), None);
 
         let sparse = SplitPlan::compile_unchecked_with(&sigs, 3, MatcherKind::Sparse);
         let bloom = SplitPlan::compile_unchecked_with(&sigs, 3, MatcherKind::SparseBloom);
@@ -497,6 +511,7 @@ mod tests {
         assert!(tiered.memory_bytes() < dense.memory_bytes() / 4);
         assert_eq!(tiered.state_count(), dense.state_count());
         assert_eq!(tiered.escape_byte_count(), Some(6));
+        assert_eq!(tiered.scan_front_end(), Some("lanes"));
         let tiers = tiered.tier_stats().expect("tiered plan reports tiers");
         assert_eq!(
             tiers.hot_states + tiers.cold_states,
@@ -507,6 +522,43 @@ mod tests {
         assert!(tiers.hot_bytes + tiers.cold_bytes <= tiered.memory_bytes());
         assert_eq!(dense.tier_stats(), None);
         assert_eq!(sparse.tier_stats(), None);
+    }
+
+    #[test]
+    fn front_end_follows_the_escape_set() {
+        // One signature: 3 pieces, 3 escape bytes — the skip's rare path.
+        let one = set(&[b"ABCDEFGHIJKLMNOPQRSTUVWX"]);
+        // The embedded demo rules: 13 pieces starting with common text
+        // bytes (space, lower-case letters), so the skip would stop every
+        // few bytes of benign text.
+        let demo = sd_ips::rules::parse_rules(sd_ips::rules::DEMO_RULES)
+            .unwrap()
+            .to_signatures();
+        // 86 signatures whose pieces start with every byte value, as a
+        // large generated corpus's do.
+        let every: Vec<Vec<u8>> = (0..86u32)
+            .map(|i| {
+                let mut sig = Vec::new();
+                for j in 0..3 {
+                    sig.push((3 * i + j) as u8);
+                    sig.extend_from_slice(b"~~~");
+                }
+                sig
+            })
+            .collect();
+        let every = set(&every.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        for kind in [MatcherKind::ClassedPrefilter, MatcherKind::Tiered] {
+            let plan = SplitPlan::compile_unchecked_with(&one, 3, kind);
+            assert_eq!(plan.escape_byte_count(), Some(3));
+            assert_eq!(plan.scan_front_end(), Some("skip"), "{kind}");
+            let plan = SplitPlan::compile_unchecked_with(&demo, 3, kind);
+            assert_eq!(plan.escape_byte_count(), Some(13));
+            assert_eq!(plan.scan_front_end(), Some("lanes"), "{kind}");
+            let plan = SplitPlan::compile_unchecked_with(&every, 3, kind);
+            assert_eq!(plan.escape_byte_count(), Some(256));
+            assert_eq!(plan.scan_front_end(), Some("walk"), "{kind}");
+            assert!(plan.scan(b"..\x07~~~..").is_some(), "{kind}");
+        }
     }
 
     #[test]

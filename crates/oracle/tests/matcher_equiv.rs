@@ -14,14 +14,23 @@
 //! where the representations actually diverge in structure (dedup'd
 //! shared prefixes, saturated byte classes, loaded Bloom filters).
 //!
+//! The demo corpora (the embedded demo rules and `rules/demo.rules`) get
+//! their own pass: their pieces start with common text bytes, so the
+//! prefiltered and tiered builds scan with the two-lane front end instead
+//! of the start-state skip.
+//!
 //! Stats are compared whole except for the two fields that *describe* the
 //! matcher (`matcher`, `automaton_bytes`) — everything observable about
 //! the traffic must match bit for bit.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sd_ips::api::run_trace;
-use sd_ips::rules::parse_rules;
+use sd_ips::rules::{parse_rules, DEMO_RULES};
 use sd_ips::{Alert, Signature, SignatureSet};
 use sd_oracle::{CompiledTrace, TraceProgram, ORACLE_SIGNATURE};
+use sd_traffic::benign::{BenignConfig, BenignGenerator};
+use sd_traffic::payload::PayloadModel;
 use sd_traffic::{generate_rule_corpus, RuleCorpusConfig};
 use splitdetect::{
     MatcherKind, ShardedSplitDetect, SplitDetect, SplitDetectConfig, SplitDetectStats, SplitPlan,
@@ -83,15 +92,22 @@ fn normalized(mut stats: SplitDetectStats) -> SplitDetectStats {
     stats
 }
 
+fn run_packets(
+    sigs: &SignatureSet,
+    packets: &[Vec<u8>],
+    config: SplitDetectConfig,
+) -> (Vec<(sd_flow::FlowKey, usize, u64, u8)>, SplitDetectStats) {
+    let mut engine = SplitDetect::with_config(sigs.clone(), config).expect("config is admissible");
+    let alerts = run_trace(&mut engine, packets.iter().map(|p| p.as_slice()));
+    (alert_keys(&alerts), engine.stats())
+}
+
 fn run_single_with(
     sigs: &SignatureSet,
     compiled: &CompiledTrace,
     kind: MatcherKind,
 ) -> (Vec<(sd_flow::FlowKey, usize, u64, u8)>, SplitDetectStats) {
-    let mut engine = SplitDetect::with_config(sigs.clone(), config_for(compiled, kind))
-        .expect("oracle config is admissible");
-    let alerts = run_trace(&mut engine, compiled.packets.iter().map(|p| p.as_slice()));
-    (alert_keys(&alerts), engine.stats())
+    run_packets(sigs, &compiled.packets, config_for(compiled, kind))
 }
 
 fn run_single(
@@ -166,6 +182,32 @@ fn corpus_signatures(rules: usize, seed: u64) -> SignatureSet {
         .collect();
     sigs.push(Signature::new("oracle-evil", ORACLE_SIGNATURE));
     SignatureSet::from_signatures(sigs)
+}
+
+/// A rule file's signatures, with the oracle signature appended so
+/// adversarial traces still carry a planted detection.
+fn rules_with_oracle(text: &str) -> SignatureSet {
+    let set = parse_rules(text).expect("rule file parses cleanly");
+    let mut sigs: Vec<Signature> = set
+        .rules
+        .iter()
+        .enumerate()
+        .map(|(i, r)| Signature::new(format!("rule-{i}"), r.signature_bytes().to_vec()))
+        .collect();
+    sigs.push(Signature::new("oracle-evil", ORACLE_SIGNATURE));
+    SignatureSet::from_signatures(sigs)
+}
+
+/// The escape-dense corpora: the embedded demo rules (13 pieces, 13
+/// distinct first bytes) and the shipped `rules/demo.rules`.
+fn demo_corpora() -> [(&'static str, SignatureSet); 2] {
+    [
+        ("embedded demo rules", rules_with_oracle(DEMO_RULES)),
+        (
+            "rules/demo.rules",
+            rules_with_oracle(include_str!("../../../rules/demo.rules")),
+        ),
+    ]
 }
 
 /// One plan per representation over the same signature set.
@@ -245,6 +287,95 @@ fn corpus_scale_plans_agree_on_straddling_offsets() {
                     plans[0].scan(&payload),
                     "{kind} first-match diverges at shift {shift}"
                 );
+            }
+        }
+    }
+}
+
+/// The demo corpora through the full engines: pinned regressions, fresh
+/// adversarial programs and a benign HTTP-like trace (payloads long
+/// enough to walk in lanes) — every build, same alerts and stats.
+#[test]
+fn demo_corpora_engines_agree_across_matchers() {
+    let benign = BenignGenerator::new(BenignConfig {
+        flows: 40,
+        seed: 5,
+        ..Default::default()
+    })
+    .generate();
+    let benign: Vec<Vec<u8>> = benign.iter_bytes().map(<[u8]>::to_vec).collect();
+    for (label, sigs) in demo_corpora() {
+        for kind in [MatcherKind::ClassedPrefilter, MatcherKind::Tiered] {
+            let plan = SplitPlan::compile_unchecked_with(&sigs, 3, kind);
+            assert_eq!(plan.scan_front_end(), Some("lanes"), "{label}: {kind}");
+        }
+        for (i, text) in PINNED.iter().enumerate() {
+            let program = TraceProgram::from_text(text).expect("pinned trace must parse");
+            assert_kinds_agree_with(&sigs, &program.compile(), &format!("{label} pin {i}"));
+        }
+        for seed in 200..212u64 {
+            let compiled = TraceProgram::random(seed).compile();
+            assert_kinds_agree_with(&sigs, &compiled, &format!("{label} random seed {seed}"));
+        }
+        let run = |kind| {
+            run_packets(
+                &sigs,
+                &benign,
+                SplitDetectConfig {
+                    fastpath_matcher: kind,
+                    ..Default::default()
+                },
+            )
+        };
+        let (dense_alerts, dense_stats) = run(MatcherKind::Dense);
+        for kind in MatcherKind::ALL {
+            let (alerts, stats) = run(kind);
+            assert_eq!(alerts, dense_alerts, "{label} benign: {kind} alerts");
+            assert_eq!(
+                normalized(stats),
+                normalized(dense_stats),
+                "{label} benign: {kind} stats"
+            );
+        }
+    }
+}
+
+/// Plan-level agreement where the lanes split: each demo signature planted
+/// in benign HTTP-like bytes at every start around the midpoint of
+/// payloads on both sides of the lane threshold, so its pieces land in
+/// lane 0, in lane 1 and across the overlap.
+#[test]
+fn demo_corpora_plans_agree_around_the_lane_split() {
+    let mut rng = StdRng::seed_from_u64(12);
+    let filler = PayloadModel::HttpLike.generate(&mut rng, 1400);
+    for (label, sigs) in demo_corpora() {
+        let plans = all_plans(&sigs);
+        for (_, sig) in sigs.iter() {
+            let n = sig.bytes.len();
+            for len in [127usize, 128, 200, 691, 1400] {
+                if len < n {
+                    continue;
+                }
+                let h = len / 2;
+                for at in h.saturating_sub(n)..=(h + 1).min(len - n) {
+                    let mut payload = filler[..len].to_vec();
+                    payload[at..at + n].copy_from_slice(&sig.bytes);
+                    let base = plans[0].scan(&payload);
+                    assert!(base.is_some(), "{label}: planted signature missed");
+                    let base_all = plans[0].scan_all(&payload);
+                    for (plan, kind) in plans.iter().zip(MatcherKind::ALL).skip(1) {
+                        assert_eq!(
+                            plan.scan(&payload),
+                            base,
+                            "{label}: {kind} first match, len {len} at {at}"
+                        );
+                        assert_eq!(
+                            plan.scan_all(&payload),
+                            base_all,
+                            "{label}: {kind} all matches, len {len} at {at}"
+                        );
+                    }
+                }
             }
         }
     }

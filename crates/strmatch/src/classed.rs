@@ -9,10 +9,20 @@
 //! 256-byte `classes` map, which lives in four cache lines and is hot
 //! forever) and keeps the dense DFA's worst-case bound: still exactly one
 //! transition per input byte.
+//!
+//! The table stores each target's *row offset* (`next × class_count`)
+//! rather than its id, with the top bit set when the target reports a
+//! match. The scan loops walk offsets: a mask, an add and one load per
+//! byte — no multiply on the chain of dependent loads — and a match is a
+//! compare, not a second table load. State ids stay the public currency
+//! ([`ClassedDfa::next_state`] converts back).
 
 use crate::aho::AhoCorasick;
 use crate::pattern::{Match, PatternId, PatternSet};
 use std::collections::HashMap;
+
+/// Flag on a row offset whose state reports a match.
+const MATCH_ROW: u32 = 1 << 31;
 
 /// A dense Aho–Corasick DFA over byte equivalence classes.
 #[derive(Debug, Clone)]
@@ -21,7 +31,8 @@ pub struct ClassedDfa {
     classes: Box<[u8; 256]>,
     /// Number of distinct classes (the row stride).
     class_count: usize,
-    /// `delta[state * class_count + class]` = next state.
+    /// `delta[state * class_count + class]` = the next state's row offset,
+    /// `next * class_count`, with [`MATCH_ROW`] set if `next` matches.
     delta: Vec<u32>,
     /// Pattern ids ending at each state (empty for most states).
     outputs: Vec<Box<[PatternId]>>,
@@ -58,13 +69,11 @@ impl ClassedDfa {
             classes[b] = class;
         }
         let class_count = reps.len();
+        assert!(
+            (n * class_count) < MATCH_ROW as usize,
+            "{n} states x {class_count} classes overflow the row offsets"
+        );
 
-        let mut delta = vec![0u32; n * class_count];
-        for s in 0..n {
-            for (c, &rep) in reps.iter().enumerate() {
-                delta[s * class_count + c] = cols[rep][s];
-            }
-        }
         let mut outputs = Vec::with_capacity(n);
         let mut has_output = Vec::with_capacity(n);
         for s in 0..n as u32 {
@@ -72,14 +81,22 @@ impl ClassedDfa {
             has_output.push(!out.is_empty());
             outputs.push(out);
         }
-        ClassedDfa {
+        let mut dfa = ClassedDfa {
             classes,
             class_count,
-            delta,
+            delta: Vec::new(),
             outputs,
             has_output,
             set: nfa.patterns().clone(),
+        };
+        let mut delta = vec![0u32; n * class_count];
+        for s in 0..n {
+            for (c, &rep) in reps.iter().enumerate() {
+                delta[s * class_count + c] = dfa.row(cols[rep][s]);
+            }
         }
+        dfa.delta = delta;
+        dfa
     }
 
     /// The pattern set this DFA recognizes.
@@ -101,11 +118,47 @@ impl ClassedDfa {
     /// The start state.
     pub const START: u32 = 0;
 
-    /// One transition.
-    #[inline(always)]
+    /// The start state's row offset.
+    pub(crate) const START_ROW: u32 = 0;
+
+    /// One transition (ids in, id out; the scan loops step row offsets).
     pub fn next_state(&self, state: u32, byte: u8) -> u32 {
+        self.state_of_row(self.step_row(self.row(state), byte))
+    }
+
+    /// Row offset of `state`.
+    fn row(&self, state: u32) -> u32 {
+        let flag = if self.is_match_state(state) {
+            MATCH_ROW
+        } else {
+            0
+        };
+        state * self.class_count as u32 + flag
+    }
+
+    /// The state whose row offset is `row`.
+    fn state_of_row(&self, row: u32) -> u32 {
+        (row & !MATCH_ROW) / self.class_count as u32
+    }
+
+    /// One transition over row offsets: `row(next_state(s, b))` from
+    /// `row(s)`.
+    #[inline(always)]
+    pub(crate) fn step_row(&self, row: u32, byte: u8) -> u32 {
         let class = self.classes[byte as usize] as usize;
-        self.delta[state as usize * self.class_count + class]
+        self.delta[(row & !MATCH_ROW) as usize + class]
+    }
+
+    /// True if the state at `row` reports at least one pattern.
+    #[inline(always)]
+    pub(crate) fn is_match_row(row: u32) -> bool {
+        row >= MATCH_ROW
+    }
+
+    /// Pattern ids ending at the state at `row`.
+    #[inline]
+    pub(crate) fn row_outputs(&self, row: u32) -> &[PatternId] {
+        self.outputs(self.state_of_row(row))
     }
 
     /// True if `state` reports at least one pattern.
@@ -123,11 +176,11 @@ impl ClassedDfa {
     /// Find all matches in `hay` with end offsets relative to `hay`.
     pub fn find_all(&self, hay: &[u8]) -> Vec<Match> {
         let mut out = Vec::new();
-        let mut state = Self::START;
+        let mut row = Self::START_ROW;
         for (i, &b) in hay.iter().enumerate() {
-            state = self.next_state(state, b);
-            if self.is_match_state(state) {
-                for &p in self.outputs(state) {
+            row = self.step_row(row, b);
+            if Self::is_match_row(row) {
+                for &p in self.row_outputs(row) {
                     out.push(Match::new(p, i + 1));
                 }
             }
@@ -137,11 +190,11 @@ impl ClassedDfa {
 
     /// First match in `hay`.
     pub fn find_first(&self, hay: &[u8]) -> Option<Match> {
-        let mut state = Self::START;
+        let mut row = Self::START_ROW;
         for (i, &b) in hay.iter().enumerate() {
-            state = self.next_state(state, b);
-            if self.is_match_state(state) {
-                return Some(Match::new(self.outputs(state)[0], i + 1));
+            row = self.step_row(row, b);
+            if Self::is_match_row(row) {
+                return Some(Match::new(self.row_outputs(row)[0], i + 1));
             }
         }
         None
@@ -151,11 +204,11 @@ impl ClassedDfa {
     /// the fast path only wants "which piece", never the offset.
     #[inline]
     pub fn find_first_id(&self, hay: &[u8]) -> Option<PatternId> {
-        let mut state = Self::START;
+        let mut row = Self::START_ROW;
         for &b in hay {
-            state = self.next_state(state, b);
-            if self.is_match_state(state) {
-                return Some(self.outputs(state)[0]);
+            row = self.step_row(row, b);
+            if Self::is_match_row(row) {
+                return Some(self.row_outputs(row)[0]);
             }
         }
         None

@@ -12,16 +12,18 @@
 //! * [`classed`] — the dense DFA with its 256-byte alphabet compressed to
 //!   equivalence classes, shrinking the transition table ~4–10× so real
 //!   rule sets stay L1/L2-resident at the same one-lookup-per-byte bound,
-//! * [`prefilter`] — a start-state skip prefilter (SWAR `u64` membership
-//!   scan, 8 bytes per step in safe Rust) fronting the classed DFA: the
-//!   accelerated engine the Split-Detect fast path defaults to,
+//! * [`prefilter`] — the scan front ends of the classed DFA, chosen from
+//!   the start state's escape set: a start-state skip (SWAR `u64`
+//!   membership scan, 8 bytes per step in safe Rust) for tiny escape sets,
+//!   a sequential walk when every byte escapes, a two-lane interleaved
+//!   walk in between — the engine the Split-Detect fast path defaults to,
 //! * [`sparse`] — a CSR hybrid NFA-DFA (`O(pattern bytes)` memory instead
 //!   of `O(states × 256)`) with an optional Bloom window prefilter before
 //!   exact confirm: the representations that keep 10k-rule corpora from
 //!   blowing past cache,
 //! * [`tiered`] — a two-tier hybrid: dense byte-classed rows for the hot
 //!   shallow states (where benign traffic lives), CSR edges for the cold
-//!   tail, fronted by the SWAR start-state skip — the engine that closes
+//!   tail, behind the same front-end rule — the engine that closes
 //!   the sparse throughput gap at 10k rules without the dense table,
 //! * [`bmh`] — Boyer–Moore–Horspool for single patterns (used by tests and
 //!   by the naive per-packet baseline when it has one signature),
@@ -65,7 +67,7 @@ pub use aho::AhoCorasick;
 pub use classed::ClassedDfa;
 pub use dfa::AcDfa;
 pub use pattern::{Match, PatternId, PatternSet};
-pub use prefilter::{PrefilteredDfa, StartSkip};
+pub use prefilter::{FrontEnd, PrefilteredDfa, StartSkip};
 pub use sparse::{BloomSparseNfa, SparseNfa, WindowBloom};
 pub use stream::StreamMatcher;
 pub use stride2::Stride2Dfa;

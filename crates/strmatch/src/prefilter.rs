@@ -26,12 +26,32 @@
 //! cross-check property tests in `tests/prop.rs` pin this. Worst-case cost
 //! is unchanged: adversarial bytes degrade to the plain one-lookup-per-byte
 //! DFA walk plus a bounded prefilter tax.
+//!
+//! The skip only pays while candidates are rare. A corpus whose pieces
+//! start with common text bytes (space, lower-case letters — the embedded
+//! demo rules have 13 such escape bytes) finds a candidate every few bytes
+//! of benign text, and the skip loop becomes pure overhead on top of the
+//! walk. Such corpora get a different [`FrontEnd`], chosen once at compile
+//! time from the escape set: [`FrontEnd::Lanes`] walks the DFA in two
+//! interleaved lanes over the two halves of the payload. Each lane is one
+//! chain of dependent loads, and two independent chains let the CPU
+//! overlap their latencies; `two_lane_first_match` below shows why the
+//! split loses no match and returns the sequential walk's answer. A
+//! corpus whose pieces start with every byte value is large enough that
+//! benign text hits a piece within a few hundred bytes; the second lane's
+//! steps are then wasted, and [`FrontEnd::Walk`] walks sequentially.
 
 use crate::classed::ClassedDfa;
 use crate::pattern::{Match, PatternId, PatternSet};
 
-/// Escape sets at most this large use the splatted-byte SWAR path.
+/// Escape sets at most this large use the splatted-byte SWAR path — and
+/// the [`FrontEnd::Skip`] front end; larger sets walk in lanes.
 const RARE_MAX: usize = 3;
+
+/// Payloads shorter than this keep the sequential walk under
+/// [`FrontEnd::Lanes`]: their halves are too short for the overlap to
+/// repay the second lane's setup.
+pub const LANE_MIN_LEN: usize = 128;
 
 const SWAR_LO: u64 = 0x0101_0101_0101_0101;
 const SWAR_HI: u64 = 0x8080_8080_8080_8080;
@@ -149,11 +169,140 @@ impl StartSkip {
     }
 }
 
-/// A [`ClassedDfa`] fronted by a [`StartSkip`] prefilter.
+/// How an engine walks a payload from its start state. Chosen once per
+/// compiled automaton by [`FrontEnd::for_skip`], so every engine with a
+/// root escape set applies the same rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrontEnd {
+    /// Skip benign bytes with the [`StartSkip`] while the automaton would
+    /// sit at start; walk only from candidates.
+    Skip,
+    /// Walk every byte, in two interleaved lanes over the two halves of
+    /// the payload (see the module docs).
+    Lanes,
+    /// Walk every byte sequentially.
+    Walk,
+}
+
+impl FrontEnd {
+    /// The front end for an escape set: the skip when the escapes fit the
+    /// splatted-byte rare path (candidates are then rare in text, and the
+    /// skip dismisses eight bytes per step); the sequential walk when
+    /// every byte value escapes (the corpus is large enough that benign
+    /// text hits a piece early, so a second lane only adds steps); lanes
+    /// otherwise.
+    ///
+    /// The rule counts escape bytes rather than estimating how often they
+    /// occur in traffic. Above the rare path the skip's bitmap scan costs
+    /// about as much per byte as the lanes even when no candidate turns
+    /// up, so picking the lanes for a set of bytes rare in text gives up
+    /// little, while picking the skip for bytes common in text costs
+    /// several times over.
+    pub fn for_skip(skip: &StartSkip) -> Self {
+        if skip.is_rare() {
+            FrontEnd::Skip
+        } else if skip.escape_count() == 256 {
+            FrontEnd::Walk
+        } else {
+            FrontEnd::Lanes
+        }
+    }
+
+    /// Stable name (`skip` / `lanes` / `walk`) for reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            FrontEnd::Skip => "skip",
+            FrontEnd::Lanes => "lanes",
+            FrontEnd::Walk => "walk",
+        }
+    }
+}
+
+/// The first match state the sequential walk of `hay` from `start`
+/// reaches, or `None` — computed with two interleaved walks.
+///
+/// With `h = len / 2` and `L = max_len` (the longest pattern), lane 0
+/// walks `hay[..h + L − 1]` and lane 1 walks `hay[h..]`, both from
+/// `start`, one byte each per step. Any occurrence either ends inside
+/// lane 0's span, or ends past `h + L − 1` and therefore starts at or
+/// after `h`, where lane 1 walks from `start` and sees it. Lane 0 *is*
+/// the sequential walk over its span, so a lane-0 hit is the answer.
+///
+/// The lanes walk on only while both states pass `in_lanes`, which must
+/// reject every match state; an engine may reject more (the tiered engine
+/// rejects its cold tier, whose branchy steps do not overlap). When a
+/// lane leaves, lane 0 carries on alone as the sequential walk — exact
+/// from any position — so a lane-1 hit, or a detour through rejected
+/// states, costs at most the lane steps already taken. Payloads below
+/// [`LANE_MIN_LEN`], or too short for the overlap to be a small share,
+/// walk sequentially.
+#[inline(always)]
+pub(crate) fn two_lane_first_match(
+    hay: &[u8],
+    max_len: usize,
+    start: u32,
+    step: impl Fn(u32, u8) -> u32,
+    is_match: impl Fn(u32) -> bool,
+    in_lanes: impl Fn(u32) -> bool,
+) -> Option<u32> {
+    let h = hay.len() / 2;
+    if hay.len() < LANE_MIN_LEN || max_len >= h {
+        return walk_from(hay, start, &step, &is_match);
+    }
+    let lane0 = &hay[..h + max_len - 1];
+    let lane1 = &hay[h..];
+    let (mut s0, mut s1) = (start, start);
+    let mut steps = 0;
+    let mut left = false;
+    for (&x, &y) in lane0.iter().zip(lane1) {
+        s0 = step(s0, x);
+        s1 = step(s1, y);
+        steps += 1;
+        if !(in_lanes(s0) & in_lanes(s1)) {
+            if is_match(s0) {
+                return Some(s0);
+            }
+            left = true;
+            break;
+        }
+    }
+    if !left {
+        if lane0.len() > steps {
+            // Lane 1 is done and clean: lane 0's span is all that is left.
+            return walk_from(&lane0[steps..], s0, &step, &is_match);
+        }
+        walk_from(&lane1[steps..], s1, &step, &is_match)?;
+    }
+    walk_from(&hay[steps..], s0, &step, &is_match)
+}
+
+/// The sequential walk from `state`: the first match state reached.
+#[inline(always)]
+pub(crate) fn walk_from(
+    hay: &[u8],
+    mut state: u32,
+    step: impl Fn(u32, u8) -> u32,
+    is_match: impl Fn(u32) -> bool,
+) -> Option<u32> {
+    for &b in hay {
+        state = step(state, b);
+        if is_match(state) {
+            return Some(state);
+        }
+    }
+    None
+}
+
+/// A [`ClassedDfa`] fronted by a [`StartSkip`] prefilter, or — when the
+/// escape set is too dense for the skip to pay — walked in two lanes or
+/// sequentially.
 #[derive(Debug, Clone)]
 pub struct PrefilteredDfa {
     dfa: ClassedDfa,
     skip: StartSkip,
+    front: FrontEnd,
+    /// Longest pattern (the lanes' overlap).
+    max_len: usize,
 }
 
 impl PrefilteredDfa {
@@ -162,10 +311,23 @@ impl PrefilteredDfa {
         Self::from_classed(ClassedDfa::new(set))
     }
 
-    /// Wrap an already-compiled classed DFA.
+    /// Wrap an already-compiled classed DFA; the escape set picks the
+    /// front end.
     pub fn from_classed(dfa: ClassedDfa) -> Self {
         let skip = StartSkip::for_dfa(&dfa);
-        PrefilteredDfa { dfa, skip }
+        let front = FrontEnd::for_skip(&skip);
+        let max_len = dfa.patterns().max_len().unwrap_or(1);
+        PrefilteredDfa {
+            dfa,
+            skip,
+            front,
+            max_len,
+        }
+    }
+
+    /// The front end [`PrefilteredDfa::find_first_id`] runs.
+    pub fn front_end(&self) -> FrontEnd {
+        self.front
     }
 
     /// The wrapped automaton.
@@ -204,20 +366,35 @@ impl PrefilteredDfa {
     }
 
     /// Pattern id of the first match, early-exiting — the fast path's
-    /// per-packet scan.
+    /// per-packet scan, through the compiled [`FrontEnd`].
     #[inline]
     pub fn find_first_id(&self, hay: &[u8]) -> Option<PatternId> {
+        match self.front {
+            FrontEnd::Skip => {}
+            FrontEnd::Lanes => {
+                let row = two_lane_first_match(
+                    hay,
+                    self.max_len,
+                    ClassedDfa::START_ROW,
+                    |r, b| self.dfa.step_row(r, b),
+                    ClassedDfa::is_match_row,
+                    |r| !ClassedDfa::is_match_row(r),
+                )?;
+                return Some(self.dfa.row_outputs(row)[0]);
+            }
+            FrontEnd::Walk => return self.dfa.find_first_id(hay),
+        }
         let mut i = 0;
         while let Some(c) = self.skip.find_candidate(hay, i) {
-            let mut state = ClassedDfa::START;
+            let mut row = ClassedDfa::START_ROW;
             let mut j = c;
             while j < hay.len() {
-                state = self.dfa.next_state(state, hay[j]);
+                row = self.dfa.step_row(row, hay[j]);
                 j += 1;
-                if self.dfa.is_match_state(state) {
-                    return Some(self.dfa.outputs(state)[0]);
+                if ClassedDfa::is_match_row(row) {
+                    return Some(self.dfa.row_outputs(row)[0]);
                 }
-                if state == ClassedDfa::START {
+                if row == ClassedDfa::START_ROW {
                     break;
                 }
             }
@@ -239,15 +416,15 @@ impl PrefilteredDfa {
     pub fn find_first(&self, hay: &[u8]) -> Option<Match> {
         let mut i = 0;
         while let Some(c) = self.skip.find_candidate(hay, i) {
-            let mut state = ClassedDfa::START;
+            let mut row = ClassedDfa::START_ROW;
             let mut j = c;
             while j < hay.len() {
-                state = self.dfa.next_state(state, hay[j]);
+                row = self.dfa.step_row(row, hay[j]);
                 j += 1;
-                if self.dfa.is_match_state(state) {
-                    return Some(Match::new(self.dfa.outputs(state)[0], j));
+                if ClassedDfa::is_match_row(row) {
+                    return Some(Match::new(self.dfa.row_outputs(row)[0], j));
                 }
-                if state == ClassedDfa::START {
+                if row == ClassedDfa::START_ROW {
                     break;
                 }
             }
@@ -264,17 +441,17 @@ impl PrefilteredDfa {
         let mut out = Vec::new();
         let mut i = 0;
         while let Some(c) = self.skip.find_candidate(hay, i) {
-            let mut state = ClassedDfa::START;
+            let mut row = ClassedDfa::START_ROW;
             let mut j = c;
             while j < hay.len() {
-                state = self.dfa.next_state(state, hay[j]);
+                row = self.dfa.step_row(row, hay[j]);
                 j += 1;
-                if self.dfa.is_match_state(state) {
-                    for &p in self.dfa.outputs(state) {
+                if ClassedDfa::is_match_row(row) {
+                    for &p in self.dfa.row_outputs(row) {
                         out.push(Match::new(p, j));
                     }
                 }
-                if state == ClassedDfa::START {
+                if row == ClassedDfa::START_ROW {
                     break;
                 }
             }
@@ -401,6 +578,55 @@ mod tests {
         hay.extend_from_slice(&p);
         let ms = pre.find_all(&hay);
         assert!(ms.iter().any(|m| m.end == hay.len()));
+    }
+
+    #[test]
+    fn front_end_follows_the_escape_set() {
+        let three = PrefilteredDfa::new(PatternSet::from_patterns(["xab", "yab", "zab"]));
+        assert_eq!(three.front_end(), FrontEnd::Skip);
+        let four = PrefilteredDfa::new(PatternSet::from_patterns(["xab", "yab", "zab", "wab"]));
+        assert_eq!(four.front_end(), FrontEnd::Lanes);
+        // Every byte value starts a piece: the sequential walk.
+        let every: Vec<[u8; 2]> = (0u8..=255).map(|b| [b, b'!']).collect();
+        let every = PatternSet::from_patterns(&every);
+        let pre = PrefilteredDfa::new(every.clone());
+        let tiered = crate::tiered::TieredNfa::new(every);
+        assert_eq!(pre.escape_count(), 256);
+        assert_eq!(pre.front_end(), FrontEnd::Walk);
+        assert_eq!(tiered.front_end(), FrontEnd::Walk);
+        assert_eq!(pre.find_first_id(b"..x!"), Some(u32::from(b'x')));
+        assert_eq!(tiered.find_first_id(b"..x!"), Some(u32::from(b'x')));
+        assert_eq!(tiered.find_first_id(b"..x."), None);
+        assert_eq!(FrontEnd::Skip.name(), "skip");
+        assert_eq!(FrontEnd::Lanes.name(), "lanes");
+        assert_eq!(FrontEnd::Walk.name(), "walk");
+    }
+
+    #[test]
+    fn lane_one_hit_defers_to_an_earlier_lane_zero_match() {
+        // Lane 1 reaches `q` (at the split) after one step, long before
+        // lane 0 reaches the end of `needle`; the sequential walk — and so
+        // the lane walk — reports `needle` first.
+        let set = PatternSet::from_patterns(["needle", "q", "x", "y", "z"]);
+        let lanes = PrefilteredDfa::new(set.clone());
+        assert_eq!(lanes.front_end(), FrontEnd::Lanes);
+        let mut hay = vec![b'.'; 400];
+        hay[150..156].copy_from_slice(b"needle");
+        hay[200] = b'q';
+        assert_eq!(lanes.find_first_id(&hay), Some(0));
+        assert_eq!(AcDfa::new(set).find_first_id(&hay), Some(0));
+        // Only the lane-1 match: still found.
+        hay[150..156].copy_from_slice(b"......");
+        assert_eq!(lanes.find_first_id(&hay), Some(1));
+        // Lane 1 longer than lane 0 (odd length, single-byte patterns)
+        // with the match in its last byte.
+        let lanes = PrefilteredDfa::new(PatternSet::from_patterns(["q", "x", "y", "z"]));
+        assert_eq!(lanes.front_end(), FrontEnd::Lanes);
+        let mut hay = vec![b'.'; 201];
+        hay[200] = b'z';
+        assert_eq!(lanes.find_first_id(&hay), Some(3));
+        hay[99] = b'x';
+        assert_eq!(lanes.find_first_id(&hay), Some(1));
     }
 
     #[test]

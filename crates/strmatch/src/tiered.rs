@@ -32,7 +32,11 @@
 //! start state, bytes outside the root's escape set are dismissed eight
 //! per step, and the exactness argument is identical to
 //! [`crate::prefilter::PrefilteredDfa`]'s (skipped bytes provably keep
-//! the automaton at start, and start never reports a match).
+//! the automaton at start, and start never reports a match). When the
+//! escape set is too dense for the skip to pay, the scan walks in two
+//! interleaved lanes instead, or sequentially when every byte escapes —
+//! the same [`crate::prefilter::FrontEnd`] rule the prefiltered engine
+//! applies.
 //!
 //! Tier membership defaults to a byte-budget heuristic — spend about as
 //! many bytes on the hot tier as the whole CSR arena would occupy, so the
@@ -44,7 +48,7 @@ use std::collections::HashMap;
 
 use crate::aho::AhoCorasick;
 use crate::pattern::{Match, PatternId, PatternSet};
-use crate::prefilter::StartSkip;
+use crate::prefilter::{two_lane_first_match, walk_from, FrontEnd, StartSkip};
 
 /// Never shrink the hot tier below this many states (when the automaton
 /// has them): the root plus its first trie level always fit.
@@ -87,6 +91,10 @@ pub struct TieredNfa {
     has_output: Vec<bool>,
     /// SWAR skip over the root row's escape bytes.
     skip: StartSkip,
+    /// Scan front end, chosen from the escape set.
+    front: FrontEnd,
+    /// Longest pattern (the lanes' overlap).
+    max_len: usize,
     set: PatternSet,
 }
 
@@ -181,6 +189,7 @@ impl TieredNfa {
         }
 
         let skip = StartSkip::from_escape_bytes((0u8..=255).filter(|&b| nfa.step(0, b) != 0));
+        let front = FrontEnd::for_skip(&skip);
 
         TieredNfa {
             hot_count: hot_count as u32,
@@ -194,6 +203,8 @@ impl TieredNfa {
             outputs,
             has_output,
             skip,
+            front,
+            max_len: nfa.patterns().max_len().unwrap_or(1),
             set: nfa.patterns().clone(),
         }
     }
@@ -229,6 +240,11 @@ impl TieredNfa {
         self.skip.escape_count()
     }
 
+    /// The front end [`TieredNfa::find_first_id`] runs.
+    pub fn front_end(&self) -> FrontEnd {
+        self.front
+    }
+
     /// Hot-tier bytes: the class map plus the dense rows.
     pub fn hot_tier_bytes(&self) -> usize {
         256 + self.hot.len() * 4
@@ -246,8 +262,18 @@ impl TieredNfa {
     /// one table load; cold states binary-search their edges and follow
     /// failure links, which strictly decrease depth and therefore re-enter
     /// the hot tier.
-    #[inline]
-    pub fn next_state(&self, mut state: u32, byte: u8) -> u32 {
+    #[inline(always)]
+    pub fn next_state(&self, state: u32, byte: u8) -> u32 {
+        if state < self.hot_count {
+            return self.hot[state as usize * self.class_count as usize
+                + self.classes[byte as usize] as usize];
+        }
+        self.cold_step(state, byte)
+    }
+
+    /// [`TieredNfa::next_state`] from a cold state, kept out of line so
+    /// the hot-tier step inlines into the scan loops.
+    fn cold_step(&self, mut state: u32, byte: u8) -> u32 {
         loop {
             if state < self.hot_count {
                 return self.hot[state as usize * self.class_count as usize
@@ -276,10 +302,36 @@ impl TieredNfa {
     }
 
     /// Pattern id of the first match, early-exiting — the fast path's
-    /// per-packet scan. Skips benign bytes eight per step while the
-    /// automaton would sit at start.
+    /// per-packet scan. Under [`FrontEnd::Skip`] it skips benign bytes
+    /// eight per step while the automaton would sit at start; under
+    /// [`FrontEnd::Lanes`] it walks every byte in two lanes while both
+    /// stay in the hot tier, and sequentially once either leaves it;
+    /// under [`FrontEnd::Walk`] it walks every byte sequentially.
     #[inline]
     pub fn find_first_id(&self, hay: &[u8]) -> Option<PatternId> {
+        match self.front {
+            FrontEnd::Skip => {}
+            FrontEnd::Lanes => {
+                let state = two_lane_first_match(
+                    hay,
+                    self.max_len,
+                    Self::START,
+                    |s, b| self.next_state(s, b),
+                    |s| self.is_match_state(s),
+                    |s| s < self.hot_count && !self.is_match_state(s),
+                )?;
+                return Some(self.outputs(state)[0]);
+            }
+            FrontEnd::Walk => {
+                let state = walk_from(
+                    hay,
+                    Self::START,
+                    |s, b| self.next_state(s, b),
+                    |s| self.is_match_state(s),
+                )?;
+                return Some(self.outputs(state)[0]);
+            }
+        }
         let mut i = 0;
         while let Some(c) = self.skip.find_candidate(hay, i) {
             let mut state = Self::START;

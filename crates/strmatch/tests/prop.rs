@@ -4,10 +4,12 @@
 
 use proptest::prelude::*;
 use sd_match::bmh::Horspool;
+use sd_match::prefilter::LANE_MIN_LEN;
 use sd_match::shiftor::{ShiftOr, ShiftOrBank};
 use sd_match::stream::{StreamMatch, StreamMatcher};
 use sd_match::{
-    naive, AcDfa, AhoCorasick, BloomSparseNfa, ClassedDfa, PatternSet, PrefilteredDfa, SparseNfa,
+    naive, AcDfa, AhoCorasick, BloomSparseNfa, ClassedDfa, FrontEnd, PatternSet, PrefilteredDfa,
+    SparseNfa, TieredNfa,
 };
 
 /// Small alphabet so matches actually happen.
@@ -199,6 +201,69 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
+    /// The two-lane walk returns the sequential walk's first match. Each
+    /// random pattern set is planted at every start within ±L of the
+    /// split point `h = len / 2` (L = longest pattern), so occurrences
+    /// straddle the lanes' overlap — including one ending exactly at
+    /// `h + L − 1`, the last byte lane 0 walks — alongside an optional
+    /// second occurrence elsewhere, in haystacks whose lengths straddle
+    /// the lane threshold. The tiered engine, whose sets here all have
+    /// more escape bytes than the skip's rare path, must agree too, also
+    /// with a hot tier so small that the lanes keep leaving it.
+    #[test]
+    fn lane_walk_agrees_with_dense_and_naive(
+        tails in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..9), 4..8),
+        len in (LANE_MIN_LEN - 8)..(3 * LANE_MIN_LEN),
+        // (pattern, offset) of the second occurrence; pattern 8 plants none.
+        second in (0usize..9, 0usize..1000),
+    ) {
+        // Distinct first bytes: at least four escape bytes.
+        let patterns: Vec<Vec<u8>> = tails
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let mut p = vec![b'A' + i as u8];
+                p.extend_from_slice(t);
+                p
+            })
+            .collect();
+        let set = PatternSet::from_patterns(patterns.iter().map(|p| p.as_slice()));
+        let dense = AcDfa::new(set.clone());
+        let lanes = PrefilteredDfa::new(set.clone());
+        prop_assert_eq!(lanes.front_end(), FrontEnd::Lanes);
+        let tiered = TieredNfa::new(set.clone());
+        prop_assert_eq!(tiered.front_end(), FrontEnd::Lanes);
+        // Two hot states: the lanes hand over to the sequential walk at
+        // almost every cold state.
+        let cold = TieredNfa::with_hot_states(set.clone(), 2);
+        // A filler byte no pattern contains.
+        let filler = (0u8..=255)
+            .find(|b| patterns.iter().all(|p| !p.contains(b)))
+            .expect("at most 8 patterns of 9 bytes");
+        let l = set.max_len().unwrap();
+        let h = len / 2;
+        for p in &patterns {
+            for at in h.saturating_sub(l)..=h + l {
+                if at + p.len() > len {
+                    continue;
+                }
+                let mut hay = vec![filler; len];
+                if let Some(q) = patterns.get(second.0) {
+                    let pos = second.1 % (len - q.len() + 1);
+                    hay[pos..pos + q.len()].copy_from_slice(q);
+                }
+                hay[at..at + p.len()].copy_from_slice(p);
+                let want = dense.find_first_id(&hay);
+                prop_assert!(want.is_some());
+                prop_assert_eq!(lanes.find_first_id(&hay), want);
+                prop_assert_eq!(tiered.find_first_id(&hay), want);
+                prop_assert_eq!(cold.find_first_id(&hay), want);
+                let first_end = naive::find_all(&set, &hay).iter().map(|m| m.end).min();
+                prop_assert_eq!(first_end, dense.find_first(&hay).map(|m| m.end));
+            }
+        }
+    }
+
     /// The CSR sparse automaton is decision-for-decision the dense DFA:
     /// same matches, same first-match identity, on the full byte alphabet.
     #[test]
@@ -280,5 +345,38 @@ proptest! {
         b.sort_by_key(|m| (m.end, m.pattern));
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(wm.is_match(&hay), !a.is_empty());
+    }
+}
+
+proptest! {
+    // Each case compiles four automata over 256+ patterns: fewer cases,
+    // several haystacks each.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// When every byte value starts a pattern, both prefiltered engines
+    /// walk sequentially and still report the dense DFA's first match.
+    #[test]
+    fn walk_front_end_agrees_with_dense(
+        pats in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 2..6), 0..8),
+        hays in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..3 * LANE_MIN_LEN),
+            8,
+        ),
+    ) {
+        let mut patterns: Vec<Vec<u8>> = (0u8..=255).map(|b| vec![b, b]).collect();
+        patterns.extend(pats);
+        let set = PatternSet::from_patterns(&patterns);
+        let dense = AcDfa::new(set.clone());
+        let pre = PrefilteredDfa::new(set.clone());
+        let tiered = TieredNfa::new(set.clone());
+        let cold = TieredNfa::with_hot_states(set, 2);
+        prop_assert_eq!(pre.front_end(), FrontEnd::Walk);
+        prop_assert_eq!(tiered.front_end(), FrontEnd::Walk);
+        for hay in &hays {
+            let want = dense.find_first_id(hay);
+            prop_assert_eq!(pre.find_first_id(hay), want);
+            prop_assert_eq!(tiered.find_first_id(hay), want);
+            prop_assert_eq!(cold.find_first_id(hay), want);
+        }
     }
 }
